@@ -1,13 +1,13 @@
 package repro.baseline
 
 import java.util.Arrays
-import repro.graph.DataGraph
+import repro.graph.{Csr, DataGraph}
 
-/** Driver-collected adjacency view of a (lite-scale) data graph, broadcast
-  * to tasks by the pattern-UNaware baselines. The real Arabesque / Fractal /
-  * G-Miner keep the graph (or partition) resident per worker the same way;
-  * Peregrine's engine deliberately never needs this — it works purely on
-  * the distributed edge relation.
+/** Adjacency view of a (lite-scale) data graph keyed by vertex id,
+  * broadcast to tasks by the pattern-UNaware baselines. The real Arabesque /
+  * Fractal / G-Miner keep the graph (or partition) resident per worker the
+  * same way, as does Peregrine's engine: it is built from the same
+  * `DataGraph.csr` snapshot the matching engine broadcasts.
   */
 final case class LocalGraph(
     adj: Map[Long, Array[Long]], // sorted neighbor arrays
@@ -28,14 +28,11 @@ object LocalGraph {
   private val empty = Array.empty[Long]
 
   def fromDataGraph(g: DataGraph): LocalGraph = {
-    val adj = g.adj
-      .collect()
-      .map(r => (r.getLong(0), r.getLong(1)))
-      .groupBy(_._1)
-      .map { case (v, arr) => v -> arr.map(_._2).sorted }
-    val labels = g.labels
-      .map(_.collect().map(r => r.getLong(0) -> r.getInt(1)).toMap)
-      .getOrElse(Map.empty)
+    val csr = g.csr
+    val adj = (0 until csr.numVertices).map(v => v.toLong -> csr.neighbors(v).map(_.toLong)).toMap
+    val labels = csr.labels.indices
+      .collect { case v if csr.labels(v) != Csr.NoLabel => v.toLong -> csr.labels(v).toInt }
+      .toMap
     LocalGraph(adj, labels)
   }
 

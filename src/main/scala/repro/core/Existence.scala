@@ -1,7 +1,5 @@
 package repro.core
 
-import java.util.concurrent.ConcurrentHashMap
-import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.sql.DataFrame
 import repro.graph.DataGraph
 import repro.pattern.{Pattern, Patterns}
@@ -10,36 +8,32 @@ import repro.pattern.{Pattern, Patterns}
   *
   * Peregrine's matching threads periodically observe a stop notification
   * raised by the user function (`stopExploration()`). On the Spark
-  * substrate we model this two ways:
+  * substrate the engine's partitions produce matches lazily, one at a time,
+  * so a limit on the match DataFrame is the stop notification: once a
+  * partition has delivered the rows the limit needs, its exploration is
+  * never resumed. This holds on any master.
   *
-  *  - `exists`: a `LIMIT 1` on the match DataFrame — Catalyst's local-limit
-  *    stops each partition after its first row, the global limit stops the
-  *    job after the first partition delivers;
-  *  - `countAtLeast`: a shared stop flag polled by every task between rows,
-  *    mirroring the paper's periodic notification check. Because this
-  *    reproduction runs `local[*]` (like Peregrine, a single machine), the
-  *    tasks share the driver JVM and an AtomicLong is a faithful analogue
-  *    of Peregrine's thread-local-then-aggregated counters.
+  *  - `exists`: `take(1)` — the first job explores one partition (the
+  *    highest-degree roots); further jobs widen the scan only while no match
+  *    has been found;
+  *  - `countAtLeast`: a `LIMIT target` — each partition stops after
+  *    `target` matches.
   */
 object Existence {
 
-  /** Shared per-query counters (single-machine / local-mode assumption). */
-  private val counters = new ConcurrentHashMap[String, AtomicLong]()
-  private val queryIds = new AtomicLong(0)
-
-  /** Whether at least one match of `p` exists in `g` (LIMIT-1 pushdown). */
+  /** Whether at least one match of `p` exists in `g`. */
   def exists(g: DataGraph, p: Pattern): Boolean =
-    !MatchEngine.matches(g, p).isEmpty
+    MatchEngine.matches(g, p).take(1).nonEmpty
 
   /** Fig 4f: whether a k-clique exists.
     *
-    * Implemented as stepwise growth with an emptiness check after every
-    * extension — the dataflow analogue of Peregrine terminating its 14-clique
-    * search as soon as the exploration frontier dies (§6.5). A single
-    * monolithic k-clique join program would also be correct, but for large k
-    * (the paper uses k = 14) its ~k²/2-join Catalyst plan is prohibitively
-    * expensive to optimize, so each step is materialized (localCheckpoint)
-    * to keep plans small; dying frontiers stop the query immediately.
+    * Up to k = 4 this is `exists` on the k-clique. For larger k (the paper
+    * uses k = 14) planning the clique enumerates its k! automorphisms, so
+    * the clique is grown stepwise as oriented joins over the edge relation
+    * with an emptiness check after every extension — the dataflow analogue
+    * of Peregrine terminating its 14-clique search as soon as the
+    * exploration frontier dies (§6.5). Each step is materialized
+    * (localCheckpoint) to keep plans small.
     */
   def existsClique(g: DataGraph, k: Int): Boolean = {
     require(k >= 1)
@@ -68,31 +62,17 @@ object Existence {
   }
 
   /** Early-terminating check that `df` yields at least `target` rows: every
-    * task increments a shared counter and stops consuming its input as soon
-    * as the global count reaches `target`, so upstream (pipelined) work
-    * stops too — the dataflow analogue of `stopExploration()`.
+    * partition stops producing after `target` rows, so with the engine's
+    * lazy partitions the exploration itself stops — the dataflow analogue
+    * of `stopExploration()`.
     */
   def countAtLeast(df: DataFrame, target: Long): Boolean = {
     require(target >= 1)
-    val key = s"existence-${queryIds.incrementAndGet()}"
-    val counter = new AtomicLong(0)
-    counters.put(key, counter)
-    try {
-      df.foreachPartition { (rows: Iterator[org.apache.spark.sql.Row]) =>
-        val c = counters.get(key)
-        // c is null only if this closure ran off-driver (non-local master) —
-        // fall back to exhaustive consumption in that case.
-        var stop = false
-        while (rows.hasNext && !stop) {
-          rows.next()
-          if (c != null) stop = c.incrementAndGet() >= target
-        }
-      }
-      counter.get() >= target
-    } finally counters.remove(key)
+    require(target <= Int.MaxValue, s"limit $target exceeds Int.MaxValue")
+    df.limit(target.toInt).count() == target
   }
 
-  /** Early-terminating existence of `p` in `g` via the stop-flag path. */
+  /** Early-terminating existence of `p` in `g` via `countAtLeast`. */
   def existsEarlyStop(g: DataGraph, p: Pattern): Boolean =
     countAtLeast(MatchEngine.matches(g, p), 1)
 }

@@ -1,44 +1,59 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.graph.DataGraph
+import java.util.Arrays
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.expressions.GenericRow
+import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
+import org.apache.spark.util.LongAccumulator
+import repro.graph.{Csr, DataGraph}
 import repro.pattern.Pattern
 import repro.plan.{ExplorationPlan, Planner}
 
-/** The pattern-aware matching engine (§4, §5.1) on the Spark dataflow
-  * substrate.
+/** The pattern-aware matching engine (§4, §5.1–5.3) on the Spark substrate.
   *
-  * `matches` compiles the exploration plan of a pattern into a Catalyst
-  * join program over the degree-ordered symmetric edge relation:
+  * `matches` runs the exploration plan of a pattern as a depth-first walk
+  * over the graph's degree-ordered CSR (`DataGraph.csr`, broadcast once per
+  * graph), one pattern vertex per level in the plan's connectivity-respecting
+  * `joinOrder`:
   *
-  *  - the core p_C is matched first, by one join per traversed edge, in the
-  *    plan's connectivity-respecting `joinOrder`;
-  *  - non-core vertices are completed by adjacency "intersections": one
-  *    anchor join plus one edge-existence join per additional core neighbor;
-  *  - symmetry breaking is applied as `m(a) < m(b)` predicates on the
-  *    degree-ranked ids, so non-canonical matches are never generated and no
-  *    per-match canonicality check exists anywhere in the pipeline;
-  *  - anti-edges (§4.2) become LEFT ANTI joins against the edge relation
-  *    (the relational form of the paper's adjacency-list set difference);
-  *  - anti-vertices (§4.3) are verified after all regular vertices are
-  *    bound, as a LEFT ANTI join against a common-neighbor witness relation
-  *    (the relational form of the paper's intersection-emptiness check).
+  *  - candidates for a vertex are the adjacency list of a bound pattern
+  *    neighbour (the shortest one), clipped by binary search to the
+  *    symmetry-breaking bounds `m(a) < m(b)` of `orderClosure`; because ids
+  *    are degree ranks, the bounds also orient the search (§5.2), and no
+  *    non-canonical match is ever generated or checked;
+  *  - the other bound pattern neighbours are membership checks, i.e. the
+  *    adjacency-list intersection of the paper; unordered, non-adjacent
+  *    earlier vertices are `≠` checks;
+  *  - anti-edges (§4.2) are non-membership checks (set difference);
+  *  - labels are constraints on, or discovered from, the CSR's label array;
+  *  - anti-vertices (§4.3) are checked once every regular vertex is bound,
+  *    as emptiness of the common neighbourhood of their anti-neighbours.
   *
-  * One adaptation from the paper, documented in DESIGN.md: Peregrine unions
-  * recursive traversals over all matching orders of p_C; under relational
-  * evaluation a single join order with the partial-order '''predicates'''
-  * yields exactly the same set, because every canonical match satisfies
-  * exactly one linear extension of the partial order. The planner still
-  * computes the matching orders (they are part of the plan and tested); the
-  * engine consumes `plan.joinOrder` + `plan.orderClosure`.
+  * Roots are dealt round-robin from the highest degree rank down over a
+  * fixed multiple of `defaultParallelism` partitions. Each partition streams
+  * its matches from an explicit-stack iterator, so a downstream limit stops
+  * the exploration itself (§5.3). The result is a DataFrame with one column
+  * `m_<v>` per regular vertex, in join order (plus `l_<v>` after `m_<v>` for
+  * discovered labels).
+  *
+  * Peregrine unions traversals over all matching orders of p_C; a single
+  * join order under the partial-order bounds yields the same set, because
+  * every canonical match satisfies exactly one linear extension of the
+  * partial order. The engine therefore consumes `plan.joinOrder` and
+  * `plan.orderClosure`.
   *
   * With `symmetry = false` the engine models pattern-UNaware systems
-  * (PRG-U, §6.6): order predicates are replaced by plain ≠ constraints, so
-  * every automorphic image is generated and counting must divide by the
-  * plan's multiplicity.
+  * (PRG-U, §6.6): the bounds are dropped and ordered pairs become plain `≠`
+  * checks, so every automorphic image is generated and counting must divide
+  * by the plan's multiplicity.
+  *
+  * Scaling limit: the graph must fit as an Int CSR in driver and executor
+  * memory (fewer than 2³¹ vertices and adjacency entries).
   */
 object MatchEngine {
+
+  /** Root partitions per `defaultParallelism` slot. */
+  private val PartitionsPerSlot = 4
 
   /** Column holding the data vertex matched to pattern vertex `v`. */
   def mcol(v: Int): String = s"m_$v"
@@ -48,7 +63,8 @@ object MatchEngine {
 
   /** All matches of `p` in `g` as a DataFrame with one column `m_<v>` per
     * regular pattern vertex (plus `l_<v>` for unlabeled vertices when
-    * `discoverLabels` is set and the graph is labeled).
+    * `discoverLabels` is set and the graph is labeled). A vertex without a
+    * label row matches no labeled pattern vertex and discovers nothing.
     */
   def matches(
       g: DataGraph,
@@ -58,93 +74,31 @@ object MatchEngine {
   ): DataFrame =
     matchesWithPlan(g, Planner.plan(p), symmetry, discoverLabels)
 
+  /** As `matches`, for a given plan. `visited`, when set, receives the
+    * number of partial matches the exploration binds (roots and full
+    * matches included): the explored count of Fig 1.
+    */
   def matchesWithPlan(
       g: DataGraph,
       plan: ExplorationPlan,
       symmetry: Boolean = true,
-      discoverLabels: Boolean = false
+      discoverLabels: Boolean = false,
+      visited: Option[LongAccumulator] = None
   ): DataFrame = {
     val p = plan.pattern
-    val order = plan.joinOrder
     require(
       p.regularVertices.forall(v => p.getLabel(v).isEmpty) || g.labels.isDefined,
       "labeled pattern requires a labeled graph"
     )
-
-    def edgeRel(s: String, d: String): DataFrame =
-      g.adj.select(col("src") as s, col("dst") as d)
-
-    var df: DataFrame = null
-    for ((v, i) <- order.zipWithIndex) {
-      val prior = order.take(i)
-      if (i == 0) {
-        df = g.vertices.select(col("v") as mcol(v))
-      } else {
-        val neighbors = prior.filter(w => p.areConnected(v, w))
-        val anchor = neighbors.headOption.getOrElse(
-          throw new IllegalStateException(s"join order not connectivity-respecting at $v")
-        )
-        df = df
-          .join(edgeRel("_as", "_ad"), col(mcol(anchor)) === col("_as"))
-          .drop("_as")
-          .withColumnRenamed("_ad", mcol(v))
-        // Remaining pattern edges to already-bound vertices: existence joins
-        // (the relational form of adjacency-list intersection).
-        for (w <- neighbors.tail)
-          df = df
-            .join(edgeRel("_xs", "_xd"), col(mcol(w)) === col("_xs") && col(mcol(v)) === col("_xd"))
-            .drop("_xs", "_xd")
-      }
-
-      // Symmetry breaking (§4.1) — or plain distinctness when disabled.
-      for (w <- prior) {
-        val lt = plan.orderClosure.contains((v, w)) // m(v) < m(w)
-        val gt = plan.orderClosure.contains((w, v))
-        if (symmetry && lt) df = df.filter(col(mcol(v)) < col(mcol(w)))
-        else if (symmetry && gt) df = df.filter(col(mcol(v)) > col(mcol(w)))
-        else if (!p.areConnected(v, w)) df = df.filter(col(mcol(v)) =!= col(mcol(w)))
-      }
-
-      // Anti-edges to bound vertices (§4.2): set difference ≡ anti join.
-      for (w <- prior if p.areAntiAdjacent(v, w))
-        df = df.join(
-          edgeRel("_ns", "_nd"),
-          col(mcol(v)) === col("_ns") && col(mcol(w)) === col("_nd"),
-          "left_anti"
-        )
-
-      // Labels: constraint for labeled pattern vertices, discovery otherwise.
-      p.getLabel(v) match {
-        case Some(lbl) =>
-          val lab = g.labels.get.filter(col("lab") === lbl).select(col("v") as "_lv")
-          df = df.join(lab, col(mcol(v)) === col("_lv")).drop("_lv")
-        case None if discoverLabels && g.labels.isDefined =>
-          val lab = g.labels.get.select(col("v") as "_lv", col("lab") as lcol(v))
-          df = df.join(lab, col(mcol(v)) === col("_lv")).drop("_lv")
-        case _ => ()
-      }
-    }
-
-    // Anti-vertex constraints (§4.3), once every regular vertex is bound.
-    val matchCols = order.map(mcol)
-    for (av <- p.antiVertices) {
-      val ns = p.antiNeighbors(av).toSeq.sorted
-      // Per the anti-vertex formula, a common neighbor w is only excused if
-      // it is the image of a pattern-neighbor of one of ū's neighbors.
-      val excluded = ns.flatMap(x => p.getNeighbors(x)).distinct.sorted
-      var wdf = df
-        .select(matchCols.map(col): _*)
-        .join(edgeRel("_ws", "_w"), col(mcol(ns.head)) === col("_ws"))
-        .drop("_ws")
-      for (x <- ns.tail)
-        wdf = wdf
-          .join(edgeRel("_es", "_ed"), col(mcol(x)) === col("_es") && col("_w") === col("_ed"))
-          .drop("_es", "_ed")
-      for (y <- excluded) wdf = wdf.filter(col("_w") =!= col(mcol(y)))
-      df = df.join(wdf.select(matchCols.map(col): _*), matchCols, "left_anti")
-    }
-
-    df
+    val program = Program.compile(plan, symmetry, discoverLabels && g.labels.isDefined)
+    val spark = g.edges.sparkSession
+    val sc = spark.sparkContext
+    val csr = g.broadcastCsr
+    val parts = PartitionsPerSlot * sc.defaultParallelism
+    val rows = sc
+      .parallelize(Seq.empty[Int], parts)
+      .mapPartitionsWithIndex((i, _) => new Matches(csr.value, program, i, parts, visited))
+    spark.createDataFrame(rows, program.schema)
   }
 
   /** Count canonical matches. With symmetry breaking the match set is
@@ -153,13 +107,235 @@ object MatchEngine {
     * AutoMine's counting correction, which is why PRG-U cannot '''list'''
     * unique matches (§2.2.2).
     */
-  def countMatches(g: DataGraph, p: Pattern, symmetry: Boolean = true): Long = {
+  def countMatches(
+      g: DataGraph,
+      p: Pattern,
+      symmetry: Boolean = true,
+      visited: Option[LongAccumulator] = None
+  ): Long = {
     val plan = Planner.plan(p)
-    val n = matchesWithPlan(g, plan, symmetry).count()
+    val n = matchesWithPlan(g, plan, symmetry, visited = visited).count()
     if (symmetry) n
     else {
       require(n % plan.multiplicity == 0, s"raw count $n not divisible by multiplicity ${plan.multiplicity}")
       n / plan.multiplicity
     }
+  }
+
+  /** How to bind the vertex at one depth of the join order. All vertex
+    * references are depths (positions in the join order), not pattern ids.
+    *
+    * @param adjacent earlier pattern neighbours: candidates come from one
+    *                 of their lists and must be in all of them
+    * @param lower    earlier vertices w with m(w) < m(v)
+    * @param upper    earlier vertices w with m(v) < m(w)
+    * @param distinct earlier vertices only required to differ from v
+    * @param anti     earlier vertices that must not be adjacent to v
+    * @param label    required label, or `Csr.NoLabel`
+    * @param discover whether v's label is discovered (emitted as `l_<v>`)
+    */
+  private final case class Step(
+      adjacent: Array[Int],
+      lower: Array[Int],
+      upper: Array[Int],
+      distinct: Array[Int],
+      anti: Array[Int],
+      label: Long,
+      discover: Boolean
+  )
+
+  /** An anti-vertex: the bound `neighbors` must have no common neighbour
+    * other than the images of `excused` (their pattern neighbours).
+    */
+  private final case class AntiVertex(neighbors: Array[Int], excused: Array[Int])
+
+  /** A plan compiled to depth-indexed steps, shipped to every task. */
+  private final case class Program(steps: Array[Step], antiVertices: Array[AntiVertex], schema: StructType)
+
+  private object Program {
+    def compile(plan: ExplorationPlan, symmetry: Boolean, discoverLabels: Boolean): Program = {
+      val p = plan.pattern
+      val order = plan.joinOrder
+      val depth = order.zipWithIndex.toMap
+      val steps = order.zipWithIndex.map { case (v, i) =>
+        val prior = order.take(i)
+        val adjacent = prior.filter(p.areConnected(v, _))
+        require(i == 0 || adjacent.nonEmpty, s"join order not connectivity-respecting at $v")
+        val lower = if (symmetry) prior.filter(w => plan.orderClosure((w, v))) else Vector.empty
+        val upper = if (symmetry) prior.filter(w => plan.orderClosure((v, w))) else Vector.empty
+        val distinct = prior.filter(w => !p.areConnected(v, w) && !lower.contains(w) && !upper.contains(w))
+        val anti = prior.filter(p.areAntiAdjacent(v, _))
+        Step(
+          adjacent.map(depth).toArray, lower.map(depth).toArray, upper.map(depth).toArray,
+          distinct.map(depth).toArray, anti.map(depth).toArray,
+          p.getLabel(v).map(_.toLong).getOrElse(Csr.NoLabel),
+          discoverLabels && p.getLabel(v).isEmpty)
+      }
+      val antiVertices = p.antiVertices.map { av =>
+        val ns = p.antiNeighbors(av).toSeq.sorted
+        // Per the anti-vertex formula, a common neighbour is only excused if
+        // it is the image of a pattern-neighbour of one of ū's neighbours.
+        val excused = ns.flatMap(p.getNeighbors).distinct.sorted
+        AntiVertex(ns.map(depth).toArray, excused.map(depth).toArray)
+      }
+      val fields = order.zip(steps).flatMap { case (v, s) =>
+        StructField(mcol(v), LongType, nullable = false) +:
+          (if (s.discover) Seq(StructField(lcol(v), IntegerType, nullable = false)) else Nil)
+      }
+      Program(steps.toArray, antiVertices.toArray, StructType(fields))
+    }
+  }
+
+  /** The matches rooted in one partition's share of the vertices
+    * (`n-1-part`, `n-1-part-parts`, …), found depth-first with an explicit
+    * stack: `m(i)` is the vertex bound at depth i, and `pos(i)` / `end(i)`
+    * the cursor over its remaining candidates in `csr.nbrs`. Only the next
+    * match is ever computed, so a consumer that stops early stops the search.
+    */
+  private final class Matches(
+      csr: Csr,
+      program: Program,
+      part: Int,
+      parts: Int,
+      visited: Option[LongAccumulator]
+  ) extends Iterator[Row] {
+    private val steps = program.steps
+    private val k = steps.length
+    private val nbrs = csr.nbrs
+    private val offsets = csr.offsets
+    private val labels = csr.labels
+    private val m = new Array[Int](k)
+    private val pos = new Array[Int](k)
+    private val end = new Array[Int](k)
+    private val anchor = new Array[Int](k)
+    private var nextRoot = csr.numVertices - 1 - part
+    private var depth = 0 // vertices bound
+    private var pending = false
+
+    def hasNext: Boolean = {
+      if (!pending) pending = advance()
+      pending
+    }
+
+    def next(): Row = {
+      if (!hasNext) throw new NoSuchElementException("no more matches")
+      pending = false
+      val values = new Array[Any](program.schema.length)
+      var j = 0
+      for (i <- 0 until k) {
+        values(j) = m(i).toLong; j += 1
+        if (steps(i).discover) { values(j) = labels(m(i)).toInt; j += 1 }
+      }
+      new GenericRow(values)
+    }
+
+    /** Binds vertices until a full match is found; false when none is left. */
+    private def advance(): Boolean = {
+      if (depth == k) depth -= 1 // the previous match was emitted
+      while (true) {
+        val bound = if (depth == 0) bindRoot() else bindNext(depth)
+        if (!bound) {
+          if (depth == 0) return false
+          depth -= 1
+        } else if (depth == k) {
+          if (antiVerticesHold()) return true
+          depth -= 1
+        }
+      }
+      false
+    }
+
+    private def visit(): Unit = visited.foreach(_.add(1))
+
+    private def bindRoot(): Boolean = {
+      while (nextRoot >= 0) {
+        val r = nextRoot
+        nextRoot -= parts
+        if (labelOk(steps(0), r)) {
+          m(0) = r
+          depth = 1
+          visit()
+          if (k > 1) open(1)
+          return true
+        }
+      }
+      false
+    }
+
+    /** Advances the cursor at depth `i` to its next accepted candidate. */
+    private def bindNext(i: Int): Boolean = {
+      val s = steps(i)
+      while (pos(i) < end(i)) {
+        val c = nbrs(pos(i))
+        pos(i) += 1
+        if (accepts(s, i, c)) {
+          m(i) = c
+          depth = i + 1
+          visit()
+          if (depth < k) open(depth)
+          return true
+        }
+      }
+      false
+    }
+
+    /** Sets the cursor of depth `i`: the shortest adjacency list of a bound
+      * pattern neighbour, clipped to the symmetry-breaking bounds.
+      */
+    private def open(i: Int): Unit = {
+      val s = steps(i)
+      var lo = 0
+      var j = 0
+      while (j < s.lower.length) { lo = math.max(lo, m(s.lower(j)) + 1); j += 1 }
+      var hi = Int.MaxValue
+      j = 0
+      while (j < s.upper.length) { hi = math.min(hi, m(s.upper(j))); j += 1 }
+      pos(i) = 0; end(i) = 0; anchor(i) = -1
+      j = 0
+      while (lo < hi && j < s.adjacent.length) {
+        val u = m(s.adjacent(j))
+        val from = Csr.lowerBound(nbrs, offsets(u), offsets(u + 1), lo)
+        val to = Csr.lowerBound(nbrs, from, offsets(u + 1), hi)
+        if (anchor(i) < 0 || to - from < end(i) - pos(i)) {
+          pos(i) = from; end(i) = to; anchor(i) = s.adjacent(j)
+        }
+        j += 1
+      }
+    }
+
+    private def accepts(s: Step, i: Int, c: Int): Boolean = {
+      var j = 0
+      while (j < s.adjacent.length) {
+        val a = s.adjacent(j)
+        if (a != anchor(i) && !adjacent(m(a), c)) return false
+        j += 1
+      }
+      j = 0
+      while (j < s.distinct.length) { if (m(s.distinct(j)) == c) return false; j += 1 }
+      j = 0
+      while (j < s.anti.length) { if (adjacent(m(s.anti(j)), c)) return false; j += 1 }
+      labelOk(s, c)
+    }
+
+    private def labelOk(s: Step, c: Int): Boolean =
+      if (s.label != Csr.NoLabel) labels(c) == s.label
+      else !s.discover || labels(c) != Csr.NoLabel
+
+    private def adjacent(u: Int, c: Int): Boolean =
+      Arrays.binarySearch(nbrs, offsets(u), offsets(u + 1), c) >= 0
+
+    private def antiVerticesHold(): Boolean =
+      program.antiVertices.forall { av =>
+        val ns = av.neighbors.map(m)
+        val shortest = ns.minBy(csr.degree)
+        var common = false
+        var j = offsets(shortest)
+        while (!common && j < offsets(shortest + 1)) {
+          val w = nbrs(j)
+          common = !av.excused.exists(e => m(e) == w) && ns.forall(u => u == shortest || adjacent(u, w))
+          j += 1
+        }
+        !common
+      }
   }
 }

@@ -1,5 +1,6 @@
 package repro.graph
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
@@ -11,6 +12,9 @@ import org.apache.spark.sql.functions._
   * symmetry-breaking predicates (`m(a) < m(b)`) therefore double as the
   * paper's degree-based load-balancing order, and "high-to-low" exploration
   * corresponds to descending ids.
+  *
+  * The matching engine reads the graph as a `Csr`, collected to the driver
+  * and broadcast on the first query (not in `fromEdges`), once per graph.
   *
   * @param edges    canonical undirected edges, columns (src, dst), src < dst
   * @param adj      symmetric edge relation (both directions), columns (src, dst)
@@ -27,10 +31,31 @@ final case class DataGraph(
     numVertices: Long,
     numEdges: Long
 ) {
+  /** Sorted adjacency lists and labels, collected on first use. */
+  lazy val csr: Csr = {
+    require(numVertices < Int.MaxValue, s"$numVertices vertices do not fit an Int CSR")
+    Csr.build(
+      numVertices.toInt,
+      edges.collect().map(r => (r.getLong(0), r.getLong(1))),
+      labels.map(_.collect().map(r => (r.getLong(0), r.getInt(1)))))
+  }
+
+  private var csrBroadcast: Option[Broadcast[Csr]] = None
+
+  /** `csr`, broadcast to the executors once per graph. */
+  def broadcastCsr: Broadcast[Csr] = synchronized {
+    csrBroadcast.getOrElse {
+      val b = edges.sparkSession.sparkContext.broadcast(csr)
+      csrBroadcast = Some(b)
+      b
+    }
+  }
+
   /** Release cached state (benchmarks build many graphs). */
   def unpersist(): Unit = {
     edges.unpersist(); adj.unpersist(); vertices.unpersist()
     labels.foreach(_.unpersist()); mapping.unpersist()
+    synchronized { csrBroadcast.foreach(_.destroy()); csrBroadcast = None }
   }
 }
 

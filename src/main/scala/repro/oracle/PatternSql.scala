@@ -29,6 +29,28 @@ object PatternSql {
     * used by tests that want the raw isomorphism count).
     */
   def fromWhere(p: Pattern): String = {
+    val (from, where, _) = compile(p)
+    s"${from.mkString(", ")}${if (where.isEmpty) "" else " WHERE " + where.mkString(" AND ")}"
+  }
+
+  /** SQL counting the isomorphisms of `p` (no division by the multiplicity)
+    * per labelling of its unlabeled regular vertices: one column `l_<v>`
+    * per such vertex, holding its data vertex's label, plus `cnt`. A data
+    * vertex without a label row takes part in no labelling.
+    */
+  def discoverySql(p: Pattern): String = {
+    val (from, where, varOf) = compile(p)
+    val free = p.regularVertices.filter(p.getLabel(_).isEmpty)
+    require(free.nonEmpty, s"pattern has no unlabeled vertex: $p")
+    val allFrom = from ++ free.map(v => s"lab d$v")
+    val allWhere = where ++ free.map(v => s"d$v.v = ${varOf(v)}")
+    s"SELECT ${free.map(v => s"d$v.lab AS l_$v").mkString(", ")}, count(*) AS cnt " +
+      s"FROM ${allFrom.mkString(", ")} WHERE ${allWhere.mkString(" AND ")} " +
+      s"GROUP BY ${free.map(v => s"d$v.lab").mkString(", ")}"
+  }
+
+  /** FROM items, WHERE conjuncts and the variable of each regular vertex. */
+  private def compile(p: Pattern): (Seq[String], Seq[String], Map[Int, String]) = {
     val reg = p.regularVertices
     require(reg.nonEmpty && p.regularPartConnected, s"oracle needs a connected regular part: $p")
 
@@ -88,6 +110,6 @@ object PatternSql {
       where += s"NOT EXISTS (SELECT 1 FROM $innerFrom WHERE ${innerConds.mkString(" AND ")})"
     }
 
-    s"${from.mkString(", ")}${if (where.isEmpty) "" else " WHERE " + where.mkString(" AND ")}"
+    (from.toSeq, where.toSeq, varOf.toMap)
   }
 }

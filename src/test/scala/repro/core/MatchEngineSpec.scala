@@ -37,6 +37,13 @@ class MatchEngineSpec extends SparkSpec {
     assert(MatchEngine.countMatches(fig6, Pattern.singleton()) == fig6.numVertices)
   }
 
+  test("visited counts every partial match the engine binds") {
+    val visited = spark.sparkContext.longAccumulator("visited")
+    assert(MatchEngine.countMatches(fig6, Patterns.generateChain(2), visited = Some(visited)) == fig6.numEdges)
+    // Every vertex as a root, then each edge once, from its ordered end.
+    assert(visited.value == fig6.numVertices + fig6.numEdges)
+  }
+
   test("triangles on random graphs vs oracle") {
     Check.engineVsOracle(spark, er, Patterns.generateClique(3))
     Check.engineVsOracle(spark, sk, Patterns.generateClique(3))
@@ -128,16 +135,50 @@ class MatchEngineSpec extends SparkSpec {
     }
   }
 
+  /** Labeled patterns over labels `a`, `b`, `c`, and unlabeled shapes
+    * (one with a fixed centre label `b`) for label discovery.
+    */
+  private def labeledPatterns(a: Int, b: Int, c: Int): Seq[Pattern] = Seq(
+    Patterns.generateChain(2).addLabel(1, a).addLabel(2, b),
+    Patterns.generateChain(3).addLabel(2, c),
+    Patterns.generateClique(3).addLabel(1, a).addLabel(2, b).addLabel(3, c))
+
+  private def discoveryShapes(b: Int): Seq[Pattern] = Seq(
+    Patterns.generateChain(2), Patterns.generateChain(3), Patterns.generateClique(3),
+    Patterns.generateChain(3).addLabel(2, b))
+
   test("labeled patterns vs oracle") {
     val edges = TestGraphs.er(40, 120, seed = 11)
     val labels = TestGraphs.labels(40, 3, seed = 12)
     val g = TestGraphs.dataGraph(spark, edges, labels)
-    val labeledEdge = Patterns.generateChain(2).addLabel(1, 0).addLabel(2, 1)
-    val labeledWedge = Patterns.generateChain(3).addLabel(2, 2)
-    val labeledTriangle = Patterns.generateClique(3).addLabel(1, 0).addLabel(2, 1).addLabel(3, 2)
-    Check.engineVsOracle(spark, g, labeledEdge)
-    Check.engineVsOracle(spark, g, labeledWedge)
-    Check.engineVsOracle(spark, g, labeledTriangle)
+    for (p <- labeledPatterns(0, 1, 2)) Check.engineVsOracle(spark, g, p)
+  }
+
+  test("partially labeled graph: labeled patterns and label discovery vs oracle") {
+    val edges = TestGraphs.er(40, 120, seed = 15)
+    // Every third vertex has no label row.
+    val labels = TestGraphs.labels(40, 3, seed = 16).filter { case (v, _) => v % 3 != 0 }
+    val g = TestGraphs.dataGraph(spark, edges, labels)
+    val ref = LocalRef.graph(edges, labels)
+    for (p <- labeledPatterns(0, 1, 2))
+      assert(Check.engineVsOracle(spark, g, p) == LocalRef.canonicalCount(p, ref), s"pattern $p")
+    for (p <- discoveryShapes(1)) Check.discoveryVsOracle(spark, g, p)
+    // An edge with an unlabeled endpoint discovers nothing.
+    assert(Check.discoveryVsOracle(spark, g, Patterns.generateChain(2)) < g.numEdges)
+  }
+
+  test("negative labels: labeled patterns and label discovery vs oracle") {
+    val edges = TestGraphs.er(40, 120, seed = 17)
+    val values = Vector(Int.MinValue, -1, 0)
+    val labels = TestGraphs.labels(40, 3, seed = 18).map { case (v, l) => v -> values(l) }
+    val g = TestGraphs.dataGraph(spark, edges, labels)
+    val ref = LocalRef.graph(edges, labels)
+    for (p <- labeledPatterns(Int.MinValue, -1, 0) ++ labeledPatterns(-1, -1, Int.MinValue))
+      assert(Check.engineVsOracle(spark, g, p) == LocalRef.canonicalCount(p, ref), s"pattern $p")
+    for (p <- discoveryShapes(Int.MinValue)) Check.discoveryVsOracle(spark, g, p)
+    val found = MatchEngine.matches(g, Patterns.generateChain(2), discoverLabels = true)
+      .select(MatchEngine.lcol(1)).distinct().collect().map(_.getInt(0)).toSet
+    assert(found == values.toSet)
   }
 
   test("labeled pattern on unlabeled graph is rejected") {
