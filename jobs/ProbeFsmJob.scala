@@ -1,7 +1,7 @@
 package repro.jobs
 
 import repro.bench.LiteData
-import repro.core.{MatchEngine, MniSupport}
+import repro.core.MniSupport
 import repro.pattern.Patterns
 
 /** Diagnostic: print the labeled 1-edge support distribution of the labeled
@@ -14,8 +14,7 @@ object ProbeFsmJob {
     try {
       val d = new LiteData(spark)
       for ((name, g) <- Seq("MI" -> d.mi, "PA-L" -> d.paL)) {
-        val m = MatchEngine.matches(g, Patterns.generateChain(2), discoverLabels = true)
-        val sup = MniSupport.labeledSupports(spark, Patterns.generateChain(2), m)
+        val sup = MniSupport.labeledSupports(g, Patterns.generateChain(2))
           .map(_._2).sorted.reverse
         println(s"[$name] labeled-edge supports: n=${sup.size} " +
           s"top=${sup.take(12).mkString(",")} " +

@@ -1,7 +1,7 @@
 package repro.apps
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{MatchEngine, MniSupport}
+import repro.core.MniSupport
 import repro.graph.DataGraph
 import repro.pattern.{CanonicalForm, Pattern, Patterns}
 
@@ -25,6 +25,9 @@ object Fsm {
     def atSize(edges: Int): Seq[(Pattern, Long)] = frequent.getOrElse(edges, Seq.empty)
   }
 
+  /** Frequent patterns up to `maxEdges` edges with MNI support ≥
+    * `threshold`. `spark` is unused: the graph carries its session.
+    */
   def run(
       spark: SparkSession,
       g: DataGraph,
@@ -49,10 +52,7 @@ object Fsm {
       val shapes = CanonicalForm.distinct(
         candidates.map(c => c.copy(labels = Map.empty))
       )
-      val discovered = shapes.flatMap { shape =>
-        val m = MatchEngine.matches(g, shape, symmetry, discoverLabels = true)
-        MniSupport.labeledSupports(spark, shape, m)
-      }
+      val discovered = shapes.flatMap(MniSupport.labeledSupports(g, _, symmetry))
       // The same labeled pattern can be discovered from different candidate
       // extensions — keep one entry per canonical labeled pattern.
       val unique = discovered

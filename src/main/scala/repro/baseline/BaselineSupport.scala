@@ -9,10 +9,10 @@ import repro.pattern.{Automorphism, Pattern, PatternCodec}
   * Input: one row per explored embedding, with the canonical labeled
   * pattern key (produced by the baseline's per-embedding isomorphism
   * computation) and the canonically-ordered data-vertex assignment.
-  * Support = min over automorphism-orbit-merged per-position domains,
-  * exactly as the engine's MniSupport — the baselines differ in how (and
-  * how expensively) the embeddings and keys are produced, not in the
-  * definition of support.
+  * Support = min over automorphism-orbit-merged per-position domains, the
+  * definition the engine's MniSupport applies to its on-the-fly domains —
+  * the baselines differ in how (and how expensively) the embeddings and
+  * keys are produced and aggregated, not in the definition of support.
   */
 object BaselineSupport {
 

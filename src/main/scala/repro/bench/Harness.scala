@@ -1,6 +1,7 @@
 package repro.bench
 
 import java.util.concurrent.{Callable, ExecutionException, Executors, TimeUnit, TimeoutException}
+import org.apache.spark.JobExecutionStatus
 import org.apache.spark.sql.SparkSession
 
 /** Benchmark harness: wall-clock timing, per-cell time budgets (the
@@ -20,18 +21,21 @@ object Harness {
     (r, (System.nanoTime() - t0) / 1e9)
   }
 
-  /** Run `f` under a wall-clock budget; on timeout cancel the job group and
-    * report '×' (like the paper's did-not-finish marker). Any error reports
-    * '—' (like the paper's out-of-memory marker).
+  /** Run `f` under a wall-clock budget; on timeout cancel the job group
+    * (and any job the cell still submits), interrupt the cell's thread, wait
+    * for it and for the group's last task to end, and report '×' (like the
+    * paper's did-not-finish marker). Any error reports '—' (like the
+    * paper's out-of-memory marker).
     */
   def budgeted(spark: SparkSession, label: String, budgetSeconds: Int)(f: => String): Cell = {
+    val sc = spark.sparkContext
     val group = s"bench-$label-${System.nanoTime()}"
     val pool = Executors.newSingleThreadExecutor()
     val fut = pool.submit(new Callable[(String, Double)] {
       def call(): (String, Double) = {
-        spark.sparkContext.setJobGroup(group, label, interruptOnCancel = true)
+        sc.setJobGroup(group, label, interruptOnCancel = true)
         try time(f)
-        finally spark.sparkContext.clearJobGroup()
+        finally sc.clearJobGroup()
       }
     })
     try {
@@ -39,15 +43,34 @@ object Harness {
       Cell(v, Some(secs))
     } catch {
       case _: TimeoutException =>
-        spark.sparkContext.cancelJobGroup(group)
-        fut.cancel(true)
+        sc.cancelJobGroupAndFutureJobs(group)
+        pool.shutdownNow()
+        // Spark work ends with its job; only driver code deaf to interrupts outlives this.
+        if (!pool.awaitTermination(budgetSeconds.toLong, TimeUnit.SECONDS))
+          Console.err.println(s"[bench] $label: cell still running after cancellation")
+        while (running(spark, group)) Thread.sleep(50)
         Cell("x", None)
       case e: ExecutionException =>
         Console.err.println(s"[bench] $label failed: ${e.getCause}")
         Cell("-", None)
     } finally {
-      pool.shutdown()
+      pool.shutdownNow()
       ()
+    }
+  }
+
+  /** Whether a job of `group` is running or has a running task, as the
+    * status tracker reports it. A running job counts as busy because the
+    * tracker writes a stage's active-task count only every so often until
+    * the stage ends; once the job has ended, the count is exact.
+    */
+  def running(spark: SparkSession, group: String): Boolean = {
+    val st = spark.sparkContext.statusTracker
+    st.getJobIdsForGroup(group).exists { id =>
+      st.getJobInfo(id).exists { job =>
+        job.status == JobExecutionStatus.RUNNING ||
+        job.stageIds.exists(s => st.getStageInfo(s).exists(_.numActiveTasks > 0))
+      }
     }
   }
 

@@ -1,6 +1,9 @@
 package repro.core
 
 import java.util.Arrays
+import scala.reflect.ClassTag
+import org.apache.spark.{TaskContext, TaskKilledException}
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.expressions.GenericRow
 import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
@@ -32,9 +35,11 @@ import repro.plan.{ExplorationPlan, Planner}
   * Roots are dealt round-robin from the highest degree rank down over a
   * fixed multiple of `defaultParallelism` partitions. Each partition streams
   * its matches from an explicit-stack iterator, so a downstream limit stops
-  * the exploration itself (§5.3). The result is a DataFrame with one column
-  * `m_<v>` per regular vertex, in join order (plus `l_<v>` after `m_<v>` for
-  * discovered labels).
+  * the exploration itself (§5.3), and a cancelled task stops at its next
+  * root. The result is a DataFrame with one column `m_<v>` per regular
+  * vertex, in join order (plus `l_<v>` after `m_<v>` for discovered labels).
+  * `foldMatches` runs the same search but hands each match to a
+  * per-partition aggregator instead of building a row (§5.4).
   *
   * Peregrine unions traversals over all matching orders of p_C; a single
   * join order under the partial-order bounds yields the same set, because
@@ -85,20 +90,58 @@ object MatchEngine {
       discoverLabels: Boolean = false,
       visited: Option[LongAccumulator] = None
   ): DataFrame = {
+    val program = compile(g, plan, symmetry, discoverLabels)
+    val rows = search(g, program, visited)(new Rows(_, program))
+    g.edges.sparkSession.createDataFrame(rows, program.schema)
+  }
+
+  /** Folds the matches of `plan` without building rows (on-the-fly
+    * aggregation, §5.4). Each root partition runs the search of
+    * `matchesWithPlan` into a fresh `init()` and calls `add(acc, m, labels)`
+    * once per match: `m(i)` is the vertex bound at depth `i` of
+    * `plan.joinOrder` and `labels(i)` its discovered label (`Csr.NoLabel` at
+    * depths that discover none). Both arrays are overwritten by the next
+    * match. The result holds one accumulator per partition; nothing runs
+    * until an action.
+    */
+  private[core] def foldMatches[A: ClassTag](
+      g: DataGraph,
+      plan: ExplorationPlan,
+      symmetry: Boolean,
+      discoverLabels: Boolean
+  )(init: () => A)(add: (A, Array[Int], Array[Long]) => Unit): RDD[A] = {
+    val program = compile(g, plan, symmetry, discoverLabels)
+    val discovering = program.steps.indices.filter(program.steps(_).discover).toArray
+    search(g, program, None) { ms =>
+      val acc = init()
+      val labels = Array.fill(program.steps.length)(Csr.NoLabel)
+      while (ms.advance()) {
+        var j = 0
+        while (j < discovering.length) { labels(discovering(j)) = ms.label(discovering(j)); j += 1 }
+        add(acc, ms.m, labels)
+      }
+      Iterator.single(acc)
+    }
+  }
+
+  private def compile(g: DataGraph, plan: ExplorationPlan, symmetry: Boolean, discoverLabels: Boolean): Program = {
     val p = plan.pattern
     require(
       p.regularVertices.forall(v => p.getLabel(v).isEmpty) || g.labels.isDefined,
       "labeled pattern requires a labeled graph"
     )
-    val program = Program.compile(plan, symmetry, discoverLabels && g.labels.isDefined)
-    val spark = g.edges.sparkSession
-    val sc = spark.sparkContext
+    Program.compile(plan, symmetry, discoverLabels && g.labels.isDefined)
+  }
+
+  /** One partition per root share; `each` turns its search into the partition. */
+  private def search[A: ClassTag](g: DataGraph, program: Program, visited: Option[LongAccumulator])(
+      each: Matches => Iterator[A]
+  ): RDD[A] = {
+    val sc = g.edges.sparkSession.sparkContext
     val csr = g.broadcastCsr
     val parts = PartitionsPerSlot * sc.defaultParallelism
-    val rows = sc
-      .parallelize(Seq.empty[Int], parts)
-      .mapPartitionsWithIndex((i, _) => new Matches(csr.value, program, i, parts, visited))
-    spark.createDataFrame(rows, program.schema)
+    sc.parallelize(Seq.empty[Int], parts)
+      .mapPartitionsWithIndex((i, _) => each(new Matches(csr.value, program, i, parts, visited)))
   }
 
   /** Count canonical matches. With symmetry breaking the match set is
@@ -198,39 +241,27 @@ object MatchEngine {
       part: Int,
       parts: Int,
       visited: Option[LongAccumulator]
-  ) extends Iterator[Row] {
+  ) {
     private val steps = program.steps
     private val k = steps.length
     private val nbrs = csr.nbrs
     private val offsets = csr.offsets
     private val labels = csr.labels
-    private val m = new Array[Int](k)
+    private val task = TaskContext.get()
+    val m = new Array[Int](k)
     private val pos = new Array[Int](k)
     private val end = new Array[Int](k)
     private val anchor = new Array[Int](k)
     private var nextRoot = csr.numVertices - 1 - part
     private var depth = 0 // vertices bound
-    private var pending = false
 
-    def hasNext: Boolean = {
-      if (!pending) pending = advance()
-      pending
-    }
+    /** Label of the vertex bound at depth `i`. */
+    def label(i: Int): Long = labels(m(i))
 
-    def next(): Row = {
-      if (!hasNext) throw new NoSuchElementException("no more matches")
-      pending = false
-      val values = new Array[Any](program.schema.length)
-      var j = 0
-      for (i <- 0 until k) {
-        values(j) = m(i).toLong; j += 1
-        if (steps(i).discover) { values(j) = labels(m(i)).toInt; j += 1 }
-      }
-      new GenericRow(values)
-    }
-
-    /** Binds vertices until a full match is found; false when none is left. */
-    private def advance(): Boolean = {
+    /** Binds vertices until a full match is found in `m`; false when none
+      * is left.
+      */
+    def advance(): Boolean = {
       if (depth == k) depth -= 1 // the previous match was emitted
       while (true) {
         val bound = if (depth == 0) bindRoot() else bindNext(depth)
@@ -247,8 +278,10 @@ object MatchEngine {
 
     private def visit(): Unit = visited.foreach(_.add(1))
 
+    /** Binds the next root; a killed task stops here, once per root. */
     private def bindRoot(): Boolean = {
       while (nextRoot >= 0) {
+        if (task != null && task.isInterrupted()) throw new TaskKilledException("killed between roots")
         val r = nextRoot
         nextRoot -= parts
         if (labelOk(steps(0), r)) {
@@ -337,5 +370,28 @@ object MatchEngine {
         }
         !common
       }
+  }
+
+  /** The matches of one partition as rows of `program.schema`. */
+  private final class Rows(ms: Matches, program: Program) extends Iterator[Row] {
+    private val steps = program.steps
+    private var pending = false
+
+    def hasNext: Boolean = {
+      if (!pending) pending = ms.advance()
+      pending
+    }
+
+    def next(): Row = {
+      if (!hasNext) throw new NoSuchElementException("no more matches")
+      pending = false
+      val values = new Array[Any](program.schema.length)
+      var j = 0
+      for (i <- steps.indices) {
+        values(j) = ms.m(i).toLong; j += 1
+        if (steps(i).discover) { values(j) = ms.label(i).toInt; j += 1 }
+      }
+      new GenericRow(values)
+    }
   }
 }

@@ -19,7 +19,6 @@ final case class MatchingOrder(remapped: Pattern, sequences: Vector[Vector[Int]]
   * @param partialOrders  symmetry-breaking constraints (a, b) ⇒ m(a) < m(b)
   * @param orderClosure   transitive closure of `partialOrders`
   * @param core           minimum connected vertex cover inducing p_C
-  * @param matchingOrders ordered views of p_C (deduplicated)
   * @param joinOrder      connectivity-respecting order over the regular
   *                       vertices (core first) used by the dataflow engine —
   *                       see MatchEngine for why a single order under the
@@ -34,10 +33,14 @@ final case class ExplorationPlan(
     partialOrders: Seq[(Int, Int)],
     orderClosure: Set[(Int, Int)],
     core: Set[Int],
-    matchingOrders: Seq[MatchingOrder],
     joinOrder: Vector[Int],
     multiplicity: Int
 ) {
+  /** Ordered views of p_C (deduplicated), computed on first use: the engine
+    * never reads them, and there are up to |V(p_C)|! orders to enumerate.
+    */
+  lazy val matchingOrders: Seq[MatchingOrder] = Planner.matchingOrders(pattern, core, partialOrders)
+
   /** Core pattern p_C: subgraph induced by the cover. */
   def corePattern: Pattern = pattern.inducedSubgraph(core)
 
@@ -64,16 +67,15 @@ object Planner {
     val partialOrders = SymmetryBreaking.partialOrders(p)
     val closure = SymmetryBreaking.closure(partialOrders)
     val core = VertexCover.minConnectedCover(p)
-    val matchingOrders = computeMatchingOrders(p, core, partialOrders)
     val joinOrder = computeJoinOrder(p, core)
     val multiplicity = Automorphism.regularMultiplicity(p)
-    ExplorationPlan(p, partialOrders, closure, core, matchingOrders, joinOrder, multiplicity)
+    ExplorationPlan(p, partialOrders, closure, core, joinOrder, multiplicity)
   }
 
   /** All total orders of V(p_C) consistent with the partial ordering,
     * remapped to position graphs, with duplicate views merged (§4.1).
     */
-  private def computeMatchingOrders(
+  private[plan] def matchingOrders(
       p: Pattern,
       core: Set[Int],
       partialOrders: Seq[(Int, Int)]

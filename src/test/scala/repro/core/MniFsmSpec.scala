@@ -27,29 +27,25 @@ class MniFsmSpec extends SparkSpec {
 
   test("support of fully labeled edges matches brute-force MNI") {
     for (p <- labeledVariants(Patterns.generateChain(2))) {
-      val m = MatchEngine.matches(g, p)
-      assert(MniSupport.support(p, m) == LocalRef.mniSupport(p, ref), s"pattern $p")
+      assert(MniSupport.support(g, p) == LocalRef.mniSupport(p, ref), s"pattern $p")
     }
   }
 
   test("support of labeled wedges matches brute-force MNI") {
     for (p <- labeledVariants(Patterns.generateChain(3)).take(10)) {
-      val m = MatchEngine.matches(g, p)
-      assert(MniSupport.support(p, m) == LocalRef.mniSupport(p, ref), s"pattern $p")
+      assert(MniSupport.support(g, p) == LocalRef.mniSupport(p, ref), s"pattern $p")
     }
   }
 
   test("support of the unlabeled triangle uses orbit-merged domains") {
     val p = Patterns.generateClique(3)
     val unlabeled = TestGraphs.dataGraph(spark, edges)
-    val m = MatchEngine.matches(unlabeled, p)
-    assert(MniSupport.support(p, m) == LocalRef.mniSupport(p, LocalRef.graph(edges)))
+    assert(MniSupport.support(unlabeled, p) == LocalRef.mniSupport(p, LocalRef.graph(edges)))
   }
 
   test("labeledSupports discovers exactly the labeled patterns present") {
     val shape = Patterns.generateChain(2)
-    val m = MatchEngine.matches(g, shape, discoverLabels = true)
-    val discovered = MniSupport.labeledSupports(spark, shape, m)
+    val discovered = MniSupport.labeledSupports(g, shape)
     val expected = labeledVariants(shape)
       .map(p => (CanonicalForm.key(p), LocalRef.mniSupport(p, ref)))
       .filter(_._2 > 0)
@@ -60,8 +56,7 @@ class MniFsmSpec extends SparkSpec {
 
   test("labeledSupports on wedges matches brute force") {
     val shape = Patterns.generateChain(3)
-    val m = MatchEngine.matches(g, shape, discoverLabels = true)
-    val got = MniSupport.labeledSupports(spark, shape, m)
+    val got = MniSupport.labeledSupports(g, shape)
       .map { case (p, s) => (CanonicalForm.key(p), s) }.toMap
     val expected = labeledVariants(shape)
       .map(p => (CanonicalForm.key(p), LocalRef.mniSupport(p, ref)))
@@ -72,8 +67,7 @@ class MniFsmSpec extends SparkSpec {
 
   test("labeledSupports respects pre-assigned labels") {
     val shape = Patterns.generateChain(3).addLabel(2, 1) // center fixed to label 1
-    val m = MatchEngine.matches(g, shape, discoverLabels = true)
-    val got = MniSupport.labeledSupports(spark, shape, m)
+    val got = MniSupport.labeledSupports(g, shape)
     assert(got.nonEmpty)
     for ((p, s) <- got) {
       assert(p.fullyLabeled)
